@@ -24,8 +24,8 @@ import (
 //
 // A Session also records every engine it builds, which is what makes
 // per-run event accounting possible: Fired sums events over exactly the
-// engines this run created, where the process-global sim.TotalFired
-// delta is wrong the moment two runs overlap.
+// engines this run created, so it stays correct while other runs
+// execute concurrently.
 type Session struct {
 	// Seed drives every deterministic RNG the run forks.
 	Seed uint64

@@ -17,9 +17,8 @@ import (
 type RunStats struct {
 	// Events is the number of sim events the run's engines dispatched,
 	// summed over exactly the engines the run built — correct even
-	// while other runs execute concurrently, unlike a process-global
-	// sim.TotalFired delta. Analytic (host-side) experiments build no
-	// engines and report zero.
+	// while other runs execute concurrently. Analytic (host-side)
+	// experiments build no engines and report zero.
 	Events uint64
 	// Elapsed is wall-clock run time.
 	Elapsed time.Duration

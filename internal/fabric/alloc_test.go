@@ -7,10 +7,11 @@ import (
 )
 
 // TestSendDeliverAllocFree pins the zero-allocation fabric hot path:
-// once the packet, transit, and engine event free lists are warm, a
-// full Send→deliver round trip (pooled packet, per-hop events, queue
-// accounting, delivery, pool release) must not touch the heap. A
-// future PR that reintroduces a per-packet allocation turns this red.
+// once the packet and engine event free lists are warm, a full
+// Send→deliver round trip (pooled packet carrying its own route, per-hop
+// events, queue accounting, delivery, pool release) must not touch the
+// heap. A change that reintroduces a per-packet allocation turns this
+// red.
 func TestSendDeliverAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := smallFabric(eng)

@@ -24,11 +24,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Errors returned by the fabric.
-var (
-	ErrNoRoute = errors.New("fabric: no route")
-	ErrBadHost = errors.New("fabric: unknown host")
-)
+// ErrBadHost is returned by Send for a source or destination that is
+// not attached to the fabric.
+var ErrBadHost = errors.New("fabric: unknown host")
 
 // HostID identifies a host NIC attached to the fabric.
 type HostID int
@@ -57,6 +55,12 @@ type Packet struct {
 	// The fabric steps the span at every queue, ECN mark and drop so an
 	// exported trace shows the packet's full hop-by-hop journey.
 	Trace trace.ID
+
+	// The journey, filled in by Send: the route (inline, so routing
+	// allocates nothing), its hop count n, and the index i of the next
+	// hop. Each hop event carries the packet itself.
+	path [maxRouteHops]*link
+	n, i int
 
 	nextFree *Packet // fabric free-list link
 }
@@ -139,7 +143,7 @@ type link struct {
 	// counts. Set whenever the topology has a core layer, at every shard
 	// count, so 1-shard and N-shard runs agree bit-for-bit.
 	entry      bool
-	pending    []*transit
+	pending    []*Packet
 	drainArmed bool
 
 	qlimit uint64
@@ -222,7 +226,6 @@ func (l *link) queueDepth(now sim.Time) uint64 {
 type pool struct {
 	pktFree   *Packet
 	pktFreeN  int
-	trFree    *transit
 	delivered uint64
 	dropped   uint64
 }
@@ -278,7 +281,7 @@ type Fabric struct {
 	// packet list is capped to keep externally-fed workloads from
 	// hoarding memory.
 	pools   []pool
-	hopFn   func(any) // pre-bound transit stepper: no closure per hop
+	hopFn   func(any) // pre-bound packet stepper: no closure per hop
 	drainFn func(any) // pre-bound entry-link drain for AtInstantEnd
 }
 
@@ -288,16 +291,6 @@ const maxRouteHops = 6
 
 // pktFreeCap bounds the packet free list.
 const pktFreeCap = 4096
-
-// transit carries one packet's journey: its route (inline, so routing
-// allocates nothing) and the index of the hop it is traversing.
-type transit struct {
-	p    *Packet
-	path [maxRouteHops]*link
-	n    int
-	i    int
-	next *transit
-}
 
 // New builds the fabric on a single engine.
 func New(eng *sim.Engine, cfg Config) *Fabric {
@@ -420,7 +413,7 @@ func build(engs []*sim.Engine, se *sim.ShardedEngine, cfg Config) *Fabric {
 		}
 	}
 	f.handlers = make([]func(*Packet), nhosts)
-	f.hopFn = func(a any) { f.hop(a.(*transit)) }
+	f.hopFn = func(a any) { f.hop(a.(*Packet)) }
 	f.drainFn = func(a any) { f.drainLink(a.(*link)) }
 	return f
 }
@@ -437,7 +430,7 @@ func (f *Fabric) AllocPacket() *Packet { return f.allocPacket(0) }
 // shard that owns host h — the shard whose engine is running when h
 // sends, keeping the free lists shard-local and race-free.
 func (f *Fabric) AllocPacketFor(h HostID) *Packet {
-	return f.allocPacket(f.ShardOf(h))
+	return f.allocPacket(f.hostUp[h].shard)
 }
 
 func (f *Fabric) allocPacket(shard int) *Packet {
@@ -452,32 +445,12 @@ func (f *Fabric) allocPacket(shard int) *Packet {
 	return p
 }
 
-func (f *Fabric) allocTransit(shard int) *transit {
+// releaseJourney reclaims a delivered or dropped packet — the one object
+// a journey uses. The packet's fields are left intact until reuse so a
+// handler's just-returned pointer stays readable (tests inspect
+// delivered packets this way).
+func (f *Fabric) releaseJourney(shard int, p *Packet) {
 	po := &f.pools[shard]
-	t := po.trFree
-	if t == nil {
-		return &transit{}
-	}
-	po.trFree = t.next
-	t.next = nil
-	return t
-}
-
-func (f *Fabric) releaseTransit(shard int, t *transit) {
-	po := &f.pools[shard]
-	*t = transit{next: po.trFree}
-	po.trFree = t
-}
-
-// releaseJourney reclaims a finished packet's transit and the packet
-// itself in one batched pool operation — one shard-pool load per
-// delivery or drop instead of two. The packet's fields are left intact
-// until reuse so a handler's just-returned pointer stays readable
-// (tests inspect delivered packets this way).
-func (f *Fabric) releaseJourney(shard int, t *transit, p *Packet) {
-	po := &f.pools[shard]
-	*t = transit{next: po.trFree}
-	po.trFree = t
 	if po.pktFreeN < pktFreeCap {
 		p.nextFree = po.pktFree
 		po.pktFree = p
@@ -606,35 +579,31 @@ func (f *Fabric) Dropped() uint64 {
 // Send injects a packet at its source host at the current virtual time.
 // Delivery (or drop) happens through scheduled events. The fabric owns
 // the packet from here on: once it is delivered or dropped it may be
-// recycled via AllocPacket. Sharded callers must invoke Send from the
-// source host's shard (its engine's callbacks), where its uplink lives.
+// recycled via AllocPacket. A packet may be in flight only once: send a
+// fresh one for every (re)transmission. Sharded callers must invoke Send
+// from the source host's shard (its engine's callbacks), where its
+// uplink lives.
 func (f *Fabric) Send(p *Packet) error {
 	if int(p.Src) >= len(f.hostUp) || int(p.Dst) >= len(f.hostDown) || p.Src < 0 || p.Dst < 0 {
 		return fmt.Errorf("%w: %d->%d", ErrBadHost, p.Src, p.Dst)
 	}
-	shard := f.ShardOf(p.Src)
-	p.SentAt = f.engs[shard].Now()
-	t := f.allocTransit(shard)
-	t.p = p
-	n, err := f.route(p, &t.path)
-	if err != nil {
-		f.releaseTransit(shard, t)
-		return err
-	}
-	t.n = n
-	f.hop(t)
+	p.SentAt = f.hostUp[p.Src].eng.Now()
+	p.n = f.route(p)
+	p.i = 0
+	f.hop(p)
 	return nil
 }
 
-// route computes the ordered link list for the packet into path,
-// returning the hop count.
-func (f *Fabric) route(p *Packet, path *[maxRouteHops]*link) (int, error) {
+// route writes the packet's ordered link list into p.path and returns
+// the hop count.
+func (f *Fabric) route(p *Packet) int {
+	path := &p.path
 	srcSeg, dstSeg := f.Segment(p.Src), f.Segment(p.Dst)
 	if srcSeg == dstSeg {
 		// Same ToR: host -> tor -> host.
 		path[0] = f.hostUp[p.Src]
 		path[1] = f.hostDown[p.Dst]
-		return 2, nil
+		return 2
 	}
 	var agg int
 	if p.PathID < 0 && f.cfg.AdaptiveRouting {
@@ -673,7 +642,7 @@ func (f *Fabric) route(p *Packet, path *[maxRouteHops]*link) (int, error) {
 		path[1] = f.torUp[srcSeg][agg]
 		path[2] = f.torDown[dstSeg][agg]
 		path[3] = f.hostDown[p.Dst]
-		return 4, nil
+		return 4
 	}
 	// Cross-pod: climb to the core "escape" layer and descend into the
 	// destination pod on the same rail (agg index).
@@ -687,7 +656,7 @@ func (f *Fabric) route(p *Packet, path *[maxRouteHops]*link) (int, error) {
 	path[3] = f.coreDown[dstPod][agg][core]
 	path[4] = f.torDown[dstSeg][agg]
 	path[5] = f.hostDown[p.Dst]
-	return 6, nil
+	return 6
 }
 
 // FailLinkWithReroute takes a ToR→Agg uplink down and schedules the
@@ -732,40 +701,39 @@ func (f *Fabric) RestoreRoute(segment, agg int) {
 	f.aggOverride[segment][agg] = agg
 }
 
-// hop advances a transit one stage: at the end of the route it delivers
+// hop advances a packet one stage: at the end of the route it delivers
 // the packet; at a canonical-drain entry link it buffers the arrival
 // until instant end; everywhere else it claims the link immediately.
-func (f *Fabric) hop(t *transit) {
-	if t.i == t.n {
-		f.deliver(t)
+func (f *Fabric) hop(p *Packet) {
+	if p.i == p.n {
+		f.deliver(p)
 		return
 	}
-	l := t.path[t.i]
+	l := p.path[p.i]
 	if l.entry {
 		// Same-instant arrival order at a handoff seam is a merge
 		// artifact; defer to instant end and claim in canonical order.
-		l.pending = append(l.pending, t)
+		l.pending = append(l.pending, p)
 		if !l.drainArmed {
 			l.drainArmed = true
 			l.eng.AtInstantEnd(f.drainFn, l)
 		}
 		return
 	}
-	t.i++
-	f.arrive(l, t)
+	p.i++
+	f.arrive(l, p)
 }
 
-// deliver hands the packet to its destination handler and recycles the
-// hot-path objects into the destination shard's pool (deliver always
-// runs on the destination's engine — the last link is ToR→host).
-func (f *Fabric) deliver(t *transit) {
-	p := t.p
-	shard := f.ShardOf(p.Dst)
+// deliver hands the packet to its destination handler and recycles it
+// into the pool of the shard owning the last link (ToR→host), whose
+// engine is the one running.
+func (f *Fabric) deliver(p *Packet) {
+	shard := p.path[p.n-1].shard
 	f.pools[shard].delivered++
 	if h := f.handlers[p.Dst]; h != nil {
 		h(p)
 	}
-	f.releaseJourney(shard, t, p)
+	f.releaseJourney(shard, p)
 }
 
 // drainLink claims an entry link's buffered same-instant arrivals in
@@ -775,22 +743,21 @@ func (f *Fabric) deliver(t *transit) {
 func (f *Fabric) drainLink(l *link) {
 	pend := l.pending
 	if len(pend) > 1 {
-		sortTransits(pend)
+		sortPackets(pend)
 	}
 	l.pending = l.pending[:0]
 	l.drainArmed = false
-	for i, t := range pend {
+	for i, p := range pend {
 		pend[i] = nil
-		t.i++
-		f.arrive(l, t)
+		p.i++
+		f.arrive(l, p)
 	}
 }
 
-// arrive claims link l for t's packet — drop checks, queue accounting,
+// arrive claims link l for packet p — drop checks, queue accounting,
 // ECN, serialisation — and schedules the next stage at the departure
 // time, handing off across shards when the next link lives elsewhere.
-func (f *Fabric) arrive(l *link, t *transit) {
-	p := t.p
+func (f *Fabric) arrive(l *link, p *Packet) {
 	now := l.eng.Now()
 	tr := l.eng.Tracer()
 
@@ -802,7 +769,7 @@ func (f *Fabric) arrive(l *link, t *transit) {
 				trace.S("link", l.name), trace.U("seq", p.Seq), trace.S("reason", dropReason(l.failed)))
 			tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "drop", trace.S("link", l.name))
 		}
-		f.releaseJourney(l.shard, t, p)
+		f.releaseJourney(l.shard, p)
 		return
 	}
 
@@ -822,7 +789,7 @@ func (f *Fabric) arrive(l *link, t *transit) {
 				trace.U("queue", q))
 			tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "drop", trace.S("link", l.name))
 		}
-		f.releaseJourney(l.shard, t, p)
+		f.releaseJourney(l.shard, p)
 		return
 	}
 	if q >= l.ecnAt {
@@ -850,31 +817,30 @@ func (f *Fabric) arrive(l *link, t *transit) {
 			trace.S("link", l.name), trace.U("seq", p.Seq), trace.U("queue", q))
 		tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "hop", trace.S("link", l.name))
 	}
-	if t.i < t.n {
-		if next := t.path[t.i]; next.shard != l.shard {
+	if p.i < p.n {
+		if next := p.path[p.i]; next.shard != l.shard {
 			// Cross-shard handoff: depart ≥ now + propagation delay ≥
 			// now + lookahead, the conservative-synchronization bound.
-			f.se.Handoff(l.shard, next.shard, depart, f.hopFn, t)
+			f.se.Handoff(l.shard, next.shard, depart, f.hopFn, p)
 			return
 		}
 	}
-	l.eng.AtArg(depart, f.hopFn, t)
+	l.eng.AtArg(depart, f.hopFn, p)
 }
 
-// sortTransits orders buffered arrivals by canonical packet key:
+// sortPackets orders buffered arrivals by canonical packet key:
 // (flow, data before acks, seq/ackseq, epoch) — unique among in-flight
 // packets, so the order is total and engine-independent. Insertion sort:
 // same-instant multi-arrivals are rare and tiny.
-func sortTransits(s []*transit) {
+func sortPackets(s []*Packet) {
 	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && transitLess(s[j], s[j-1]); j-- {
+		for j := i; j > 0 && packetLess(s[j], s[j-1]); j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }
 
-func transitLess(a, b *transit) bool {
-	pa, pb := a.p, b.p
+func packetLess(pa, pb *Packet) bool {
 	if pa.Flow != pb.Flow {
 		return pa.Flow < pb.Flow
 	}

@@ -309,7 +309,7 @@ func (r *Replay) exec(i int, t sim.Time) {
 // already-arrived recv (at its ready instant): both batches of one.
 func opDeferredDone(v any) {
 	a := v.(*opArg)
-	a.r.completeBatch(a.t, a.i)
+	a.r.completeBatch(a.t, a.t, a.i)
 }
 
 // opSendLaunch starts a send op's transfer on the owning rank's engine.
@@ -324,14 +324,24 @@ func opSendLaunch(v any) {
 // already waiting on the wire. Both land in the same batch, so ops the
 // two completions free at this instant launch strictly in op-index
 // order (the documented tiebreak), not send-successors-first.
+//
+// at may lie in the past: transport reports a message's true completion
+// (its last ack) but calls back only once every earlier message on the
+// connection has completed too, so under loss a small send acked ahead
+// of a retransmitting one is reported late. The ops keep at as their
+// end; the ops they free launch now, on the sender's engine clock that
+// runs this callback — the global merge time under a sharded fleet, so
+// the launch instant is the same at every shard count.
 func opSendDone(v any, at sim.Time) {
 	a := v.(*opArg)
 	r := a.r
 	r.sendDone[a.i] = true
-	if ri, ok := r.recvReady(r.g.Ops[a.i]); ok {
-		r.completeBatch(at, a.i, ri)
+	op := r.g.Ops[a.i]
+	now := r.engFor(op.Rank).Now()
+	if ri, ok := r.recvReady(op); ok {
+		r.completeBatch(at, now, a.i, ri)
 	} else {
-		r.completeBatch(at, a.i)
+		r.completeBatch(at, now, a.i)
 	}
 }
 
@@ -345,7 +355,7 @@ func opCollectiveLaunch(v any) {
 	op := r.g.Ops[a.i]
 	i := a.i
 	r.rings[i].Reduce(r.engFor(op.Ranks[0]), op.Bytes, func(cres collective.Result) {
-		r.completeBatch(cres.End, i)
+		r.completeBatch(cres.End, cres.End, i)
 	})
 }
 
@@ -360,18 +370,19 @@ func (r *Replay) recvReady(send Op) (int, bool) {
 	return i, true
 }
 
-// completeBatch marks every op in the batch done at instant t, then
+// completeBatch marks every op in the batch done at instant end, then
 // launches the newly-ready successors of the whole batch in op-index
-// order. Routing all completions that land at one instant through a
-// single ready list is what makes the launch order the documented
-// Graph.Ops tiebreak — completing ops one at a time would launch the
-// first op's successors before later batch members' lower-indexed
-// ones. exec never completes an op synchronously (every path defers
+// order at instant launch (end, unless the completion was reported
+// late; see opSendDone). Routing all completions that land at one
+// instant through a single ready list is what makes the launch order
+// the documented Graph.Ops tiebreak — completing ops one at a time
+// would launch the first op's successors before later batch members'
+// lower-indexed ones. exec never completes an op synchronously (every path defers
 // through the event queue), so no reentrant batch can interleave.
-func (r *Replay) completeBatch(t sim.Time, batch ...int) {
+func (r *Replay) completeBatch(end, launch sim.Time, batch ...int) {
 	ready := r.ready[:0]
 	for _, i := range batch {
-		r.opEnd[i] = t
+		r.opEnd[i] = end
 		r.doneOp[i] = true
 		r.remain--
 		for _, j := range r.succ[i] {
@@ -384,7 +395,7 @@ func (r *Replay) completeBatch(t sim.Time, batch ...int) {
 		sort.Ints(ready)
 	}
 	for _, j := range ready {
-		r.exec(j, t)
+		r.exec(j, launch)
 	}
 	// Safe to reuse: exec only schedules (never re-enters completeBatch
 	// synchronously), so the buffer is idle between batches.

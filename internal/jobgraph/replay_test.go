@@ -2,6 +2,7 @@ package jobgraph
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -301,8 +302,8 @@ func TestIncompleteErrorNamesPendingOps(t *testing.T) {
 	}
 	msg := err.Error()
 	for _, want := range []string{
-		"warmup",                  // the op actually stuck
-		"push (awaiting warmup)",  // dep chain spelled out
+		"warmup",                      // the op actually stuck
+		"push (awaiting warmup)",      // dep chain spelled out
 		"pull (awaiting push [wire])", // recv blames the missing data
 	} {
 		if !strings.Contains(msg, want) {
@@ -315,5 +316,67 @@ func TestFromModelRejectsTinyFleet(t *testing.T) {
 	_, err := FromModel(GenConfig{Model: workload.Table1()[0], Ranks: 1})
 	if !errors.Is(err, ErrRanks) {
 		t.Errorf("err = %v, want ErrRanks", err)
+	}
+}
+
+// TestLossyOutOfOrderCompletionLaunchesAtNow pins replay under loss. On
+// one connection a small send can be fully acked while an earlier large
+// send still waits for a retransmit; transport then reports the small
+// send's true completion time only once the earlier message completes,
+// which is in the engine's past. The op must record that true time, and
+// its dependents must launch at the engine's current time rather than
+// be scheduled in the past (which panicked).
+func TestLossyOutOfOrderCompletionLaunchesAtNow(t *testing.T) {
+	const rounds = 8
+	const think = 10 * time.Microsecond
+	b := NewBuilder("lossy-fifo", 2)
+	for k := uint64(0); k < rounds; k++ {
+		b.Send(fmt.Sprintf("big%d", k), 0, 1, 256<<10, 2*k)
+		b.Recv(fmt.Sprintf("rbig%d", k), 1, 0, 2*k)
+		small := b.Send(fmt.Sprintf("small%d", k), 0, 1, 4<<10, 2*k+1)
+		b.Recv(fmt.Sprintf("rsmall%d", k), 1, 0, 2*k+1)
+		b.Compute(fmt.Sprintf("after%d", k), 0, think, small)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngineMode(7, sim.SchedulerWheel)
+	f := fabric.New(eng, fabric.Config{
+		Segments: 2, HostsPerSegment: 1, Aggs: 16,
+		HostLinkBW: 12.5e9, FabricLinkBW: 12.5e9,
+		LinkDelay: 2 * time.Microsecond, QueueLimit: 4 << 20, ECNThreshold: 256 << 10,
+	})
+	if err := f.SetFault(fabric.HostLink(0, fabric.DirUp), fabric.Fault{DropProb: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	eps := []*transport.Endpoint{
+		transport.NewEndpoint(f, 0, transport.Config{}),
+		transport.NewEndpoint(f, 1, transport.Config{}),
+	}
+	res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := map[string]int{}
+	for i, op := range g.Ops {
+		idx[op.ID] = i
+	}
+	deferred := 0
+	for k := 0; k < rounds; k++ {
+		sendEnd := res.OpEnd[idx[fmt.Sprintf("small%d", k)]]
+		end := res.OpEnd[idx[fmt.Sprintf("after%d", k)]]
+		if end < sendEnd.Add(think) {
+			t.Errorf("after%d ends %v, before its send's end %v + %v", k, end, sendEnd, think)
+		}
+		if end > sendEnd.Add(think) {
+			deferred++
+		}
+	}
+	// The case under test must actually occur: some small send finished
+	// before an earlier lossy message, so its dependent launched later
+	// than the send's recorded completion.
+	if deferred == 0 {
+		t.Fatal("no small send completed ahead of an earlier lossy send; the test no longer exercises out-of-order completion")
 	}
 }

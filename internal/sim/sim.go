@@ -32,7 +32,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -112,17 +111,6 @@ func SetDefaultSchedulerMode(m SchedulerMode) { defaultMode.Store(int32(m)) }
 
 // DefaultSchedulerMode reports the mode NewEngine uses.
 func DefaultSchedulerMode() SchedulerMode { return SchedulerMode(defaultMode.Load()) }
-
-// totalFired accumulates events dispatched across every engine in the
-// process, updated once per Run/Step, not per event. CLIs report it as
-// an end-to-end events/sec figure.
-var totalFired atomic.Uint64
-
-// TotalFired reports events dispatched process-wide across all engines.
-// With concurrent engines the delta between two reads attributes other
-// runs' events to the caller; per-run accounting should sum
-// Engine.Fired over the engines that run built instead.
-func TotalFired() uint64 { return totalFired.Load() }
 
 // Timer-wheel geometry: 8192 buckets of 512 ns cover a ~4.2 ms
 // horizon. The bucket is deliberately finer than a packet's
@@ -248,11 +236,9 @@ type Engine struct {
 
 	free *Event // recycled Event objects (single-threaded free list)
 
-	// sortKeys/sortTmp are sortChunk's reusable scratch: packed
-	// (when-delta, position) keys and the pre-permutation copy of the
-	// chunk. They grow to the largest bucket ever flushed and stay.
-	sortKeys []uint64
-	sortTmp  []*Event
+	// sortTmp is sortChunk's reusable scratch: the pre-permutation copy
+	// of the chunk. It grows to the largest bucket ever flushed and stays.
+	sortTmp []*Event
 }
 
 // instantCall is one deferred instant-end callback.
@@ -450,28 +436,18 @@ func eventBefore(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// sortIdxBits is the low-bit budget sortChunk packs a chunk position
-// into; the rest of the uint64 key holds the event's time offset from
-// the chunk minimum.
-const sortIdxBits = 20
-
 // sortChunk orders a freshly flushed bucket chunk by eventBefore.
 // Bucket chains are built LIFO, so the chunk arrives nearly
 // reverse-ordered; reversing it first makes the common
-// all-in-schedule-order case a single already-sorted scan and — the
-// property the large-chunk path leans on — puts same-when events in
-// ascending seq order (bucket pushes happen in schedule order, and seq
-// is assigned at schedule time). Small chunks take a direct insertion
-// sort. Large ones sort packed uint64 keys, (when-min)<<20 | position,
-// with slices.Sort: position is unique so the key order is exactly
-// (when, position) = (when, seq), and sorting machine words is
-// branch-predictable and call-free where a *Event comparison sort
-// spends ~20% of a permutation workload's cycles in the comparator
-// (measured on fig10a). Chunks too large or too time-spread for the
-// packing (≥2^20 events, ≥2^44 ns spread — neither occurs in any
-// experiment) fall back to slices.SortFunc. (when, seq) is a strict
-// total order — every correct sort produces the same permutation, so
-// the algorithm choice cannot change results.
+// all-in-schedule-order case a single already-sorted scan and puts the
+// chunk in ascending seq order (bucket pushes happen in schedule order,
+// and seq is assigned at schedule time). Small chunks take a direct
+// insertion sort. Large ones take a stable counting sort on the event's
+// offset inside its bucket (when mod 512): every event of a chunk lies
+// in the same 512 ns bucket, so that offset orders by when, and
+// stability keeps same-when events in the ascending seq order the
+// reversal established — exactly (when, seq), in linear time and
+// without a comparator call per step.
 func (e *Engine) sortChunk(s []*Event) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
@@ -488,50 +464,23 @@ func (e *Engine) sortChunk(s []*Event) {
 		}
 		return
 	}
-	if len(s) < 1<<sortIdxBits {
-		base := s[0].when
-		for _, ev := range s[1:] {
-			if ev.when < base {
-				base = ev.when
-			}
-		}
-		keys := e.sortKeys[:0]
-		ok := true
-		for i, ev := range s {
-			d := uint64(ev.when - base)
-			if d >= 1<<(64-sortIdxBits) {
-				ok = false
-				break
-			}
-			keys = append(keys, d<<sortIdxBits|uint64(i))
-		}
-		e.sortKeys = keys
-		if ok {
-			slices.Sort(keys)
-			tmp := append(e.sortTmp[:0], s...)
-			e.sortTmp = tmp
-			for i, k := range keys {
-				s[i] = tmp[k&(1<<sortIdxBits-1)]
-			}
-			return
-		}
+	const offMask = 1<<bucketBits - 1
+	var cnt [1 << bucketBits]int32
+	for _, ev := range s {
+		cnt[ev.when&offMask]++
 	}
-	slices.SortFunc(s, eventCompare)
-}
-
-// eventCompare is eventBefore as a three-way comparison. seq is unique
-// per engine, so 0 is unreachable for distinct events.
-func eventCompare(a, b *Event) int {
-	if a.when != b.when {
-		if a.when < b.when {
-			return -1
-		}
-		return 1
+	var sum int32
+	for i, c := range &cnt {
+		cnt[i] = sum
+		sum += c
 	}
-	if a.seq < b.seq {
-		return -1
+	tmp := append(e.sortTmp[:0], s...)
+	e.sortTmp = tmp
+	for _, ev := range tmp {
+		o := ev.when & offMask
+		s[cnt[o]] = ev
+		cnt[o]++
 	}
-	return 1
 }
 
 // flushBucketsTo drains wheel buckets (flushed, target] into the sorted
@@ -769,7 +718,6 @@ func (e *Engine) Run(horizon Time) Time {
 	}
 	tr.End("sim", "engine",
 		trace.U("fired", e.fired-firedBefore), trace.B("halted", e.halted))
-	totalFired.Add(e.fired - firedBefore)
 	return e.now
 }
 
@@ -784,7 +732,6 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.dispatch(ev)
-	totalFired.Add(1)
 	return true
 }
 

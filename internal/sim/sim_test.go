@@ -259,6 +259,75 @@ func TestHeapWheelEquivalence(t *testing.T) {
 	}
 }
 
+// TestHeapWheelEquivalenceDenseBuckets is the equivalence test for the
+// wheel's large-chunk flush: every bucket holds hundreds of live events,
+// half of them piled onto a few shared instants and the rest spread over
+// all 512 in-bucket offsets, with a third canceled and callbacks that
+// add more events to the current and to later dense buckets.
+func TestHeapWheelEquivalenceDenseBuckets(t *testing.T) {
+	const buckets = 48
+	type firing struct {
+		at Time
+		id int
+	}
+	run := func(mode SchedulerMode) []firing {
+		e := NewEngineMode(1, mode)
+		rng := NewRNG(0xde75e)
+		var got []firing
+		id := 0
+		// offset picks an in-bucket offset: a few hot instants (ties)
+		// half the time, any of the 512 slots otherwise.
+		offset := func() Time {
+			if rng.Intn(2) == 0 {
+				return Time(rng.Intn(4) * 170)
+			}
+			return Time(rng.Intn(1 << bucketBits))
+		}
+		var spawn func(at Time, depth int)
+		spawn = func(at Time, depth int) {
+			id++
+			me := id
+			ev := e.At(at, func() {
+				got = append(got, firing{e.Now(), me})
+				if depth < 2 && rng.Intn(4) == 0 {
+					// Same bucket (run/heap path) or a later dense bucket.
+					next := e.Now() + Time(rng.Intn(600))
+					if rng.Intn(2) == 0 {
+						b := bucketOf(e.Now()) + 1 + uint64(rng.Intn(8))
+						next = Time(b<<bucketBits) + offset()
+					}
+					spawn(next, depth+1)
+				}
+			})
+			if rng.Intn(3) == 0 {
+				ev.Cancel()
+			}
+		}
+		for b := 1; b <= buckets; b++ {
+			n := 64 + rng.Intn(512)
+			for i := 0; i < n; i++ {
+				spawn(Time(b<<bucketBits)+offset(), 0)
+			}
+		}
+		e.RunAll()
+		return got
+	}
+
+	heapSeq := run(SchedulerHeap)
+	wheelSeq := run(SchedulerWheel)
+	if len(heapSeq) != len(wheelSeq) {
+		t.Fatalf("fired %d events on heap vs %d on wheel", len(heapSeq), len(wheelSeq))
+	}
+	for i := range heapSeq {
+		if heapSeq[i] != wheelSeq[i] {
+			t.Fatalf("firing %d diverged: heap=%+v wheel=%+v", i, heapSeq[i], wheelSeq[i])
+		}
+	}
+	if len(heapSeq) < buckets*64/2 {
+		t.Fatalf("workload fired only %d events", len(heapSeq))
+	}
+}
+
 func TestSchedulerModeParse(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
